@@ -87,19 +87,13 @@ object LocalCombine {
 
   /** Build the per-middle-vertex wedge sets (Definition 5) with the Lemma 1
     * pruning (`ts != ta` and `|ts - ta| <= delta`), each subset sorted by
-    * wedge priority. Groups with a single middle-vertex yield a one-element
-    * array, which the recursion skips.
+    * wedge priority, in the order of each middle-vertex's first wedge.
+    * Groups with a single middle-vertex yield a one-element array, which the
+    * recursion skips.
     */
   def buildSides(wedges: ArrayBuffer[(Long, Long, Long)], delta: Long): Array[Side] = {
-    val byMid = mutable.LinkedHashMap.empty[Long, (ArrayBuffer[(Long, Long)], ArrayBuffer[(Long, Long)])]
-    wedges.foreach { case (mid, s, a) =>
-      if (s != a && math.abs(a - s) <= delta) {
-        val (fa, fd) = byMid.getOrElseUpdate(mid, (new ArrayBuffer, new ArrayBuffer))
-        if (s < a) fa += ((s, a)) else fd += ((a, s))
-      }
-    }
-    byMid.iterator.map { case (mid, (fa, fd)) =>
-      new Side(WList.sorted(fa, mid), WList.sorted(fd, mid))
-    }.toArray
+    val byMid = mutable.LinkedHashMap.empty[Long, SideBuilder]
+    wedges.foreach { case (mid, s, a) => byMid.getOrElseUpdate(mid, new SideBuilder).add(s, a, delta) }
+    byMid.iterator.collect { case (mid, b) if b.nonEmpty => b.result(mid) }.toArray
   }
 }

@@ -52,6 +52,27 @@ final class Side(val a: WList, val d: WList) {
   def size: Int = a.size + d.size
 }
 
+/** Collects raw wedges `(s, a)` — start-leg and end-leg time — into one
+  * wedge set: drops the wedges Lemma 1 rules out (`s == a` or
+  * `|a - s| > delta`), normalizes the rest to `ts < ta` and splits them
+  * into forward (A) and backward (D) lists.
+  */
+final class SideBuilder {
+  private val fa = new ArrayBuffer[(Long, Long)]()
+  private val fd = new ArrayBuffer[(Long, Long)]()
+
+  def add(s: Long, a: Long, delta: Long): Unit =
+    if (s != a && math.abs(a - s) <= delta) {
+      if (s < a) fa += ((s, a)) else fd += ((a, s))
+    }
+
+  /** Whether any added wedge survived the pruning. */
+  def nonEmpty: Boolean = fa.nonEmpty || fd.nonEmpty
+
+  /** The wedge set, both lists sorted by wedge priority, tagged with `mid`. */
+  def result(mid: Long): Side = new Side(WList.sorted(fa, mid), WList.sorted(fd, mid))
+}
+
 /** Thrown by the benchmark deadline check — the analogue of the paper's
   * 100,000 s execution cap.
   */

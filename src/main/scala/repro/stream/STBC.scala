@@ -1,9 +1,8 @@
 package repro.stream
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{SetCross, Side, TreeIndex, WList}
+import repro.core.{SetCross, SideBuilder, TreeIndex}
 import repro.graph.TemporalEdge
 
 /** STBC (Algorithm 7): exact incremental counting of the temporal
@@ -20,63 +19,47 @@ import repro.graph.TemporalEdge
   * the merged `via-other` set — the two-wedge-set simplification of § 5.
   * Traversal ranges are compressed to `[t - delta, t + delta]` (and the
   * second hop to `[max(t,t') - delta, min(t,t') + delta]`) via binary
-  * search on the time-sorted adjacency queues.
+  * search on the time-sorted adjacency queues. The `via-v` legs are
+  * collected first, so only end-vertices `v` reaches get a `via-other` set.
   */
 object STBC {
 
   /** Counts (per type) of the temporal butterflies containing `e`. The edge
     * must currently be present in `g`.
+    *
+    * @throws IllegalArgumentException if an endpoint of `e` is not in `g`
     */
   def countContaining(g: StreamGraph, e: TemporalEdge, delta: Long): Array[Long] = {
     val counts = new Array[Long](6)
-    val uKey = g.upperKey(e.u)
-    val vKey = g.lowerKey(e.v)
-    val su = g.slot(uKey)
-    val sv = g.slot(vKey)
+    val su = g.endpointSlot(g.upperKey(e.u), e)
+    val sv = g.endpointSlot(g.lowerKey(e.v), e)
     val t = e.t
 
-    // end-vertex key -> (wedges through v with first leg e, wedges through x != v)
-    val h = mutable.HashMap.empty[Long, (ArrayBuffer[(Long, Long, Long)], ArrayBuffer[(Long, Long, Long)])]
-    def entry(w: Long) = h.getOrElseUpdate(w, (new ArrayBuffer, new ArrayBuffer))
-
-    g.foreachInRange(su, t - delta, loStrict = false, t + delta, hiStrict = false) { (xKey, t1) =>
-      if (xKey != vKey && t1 != t) {
+    // end-vertex slot -> (wedges through v with first leg e, wedges through x != v);
+    // both sets may span several middle-vertices, which is safe here: the
+    // two sides crossed always have disjoint middles
+    val byEnd = mutable.HashMap.empty[Int, (SideBuilder, SideBuilder)]
+    g.foreachSlotInRange(sv, t - delta, loStrict = false, t + delta, hiStrict = false) { (w, t2) =>
+      if (w != su && t2 != t)
+        byEnd.getOrElseUpdate(w, (new SideBuilder, new SideBuilder))._1.add(t, t2, delta)
+    }
+    g.foreachSlotInRange(su, t - delta, loStrict = false, t + delta, hiStrict = false) { (x, t1) =>
+      if (x != sv && t1 != t) {
         val lo = math.max(t, t1) - delta
         val hi = math.min(t, t1) + delta
-        g.foreachInRange(g.slot(xKey), lo, loStrict = false, hi, hiStrict = false) { (wKey, t2) =>
-          if (wKey != uKey && t2 != t && t2 != t1)
-            entry(wKey)._2 += ((xKey, t1, t2))
+        g.foreachSlotInRange(x, lo, loStrict = false, hi, hiStrict = false) { (w, t2) =>
+          // u itself never has an entry
+          if (t2 != t && t2 != t1) byEnd.get(w).foreach(_._2.add(t1, t2, delta))
         }
       }
     }
-    g.foreachInRange(sv, t - delta, loStrict = false, t + delta, hiStrict = false) { (wKey, t2) =>
-      if (wKey != uKey && t2 != t)
-        entry(wKey)._1 += ((vKey, t, t2))
-    }
 
-    h.foreach { case (_, (viaV, viaOther)) =>
-      if (viaV.nonEmpty && viaOther.nonEmpty) {
-        val sideV = sideFromRaw(viaV, delta)
-        val sideO = sideFromRaw(viaOther, delta)
+    byEnd.valuesIterator.foreach { case (viaV, viaOther) =>
+      if (viaV.nonEmpty && viaOther.nonEmpty)
         // start-vertex is the upper endpoint, so layer = 0
-        SetCross.cross(sideV, sideO, layer = 0, delta, counts, () => new TreeIndex, sink = null)
-      }
+        SetCross.cross(viaV.result(0L), viaOther.result(0L), layer = 0, delta, counts,
+          () => new TreeIndex, sink = null)
     }
     counts
-  }
-
-  /** Normalize + Lemma-1-prune raw wedges `(mid, s, a)` into one wedge set,
-    * possibly spanning several middle-vertices (which is safe here: the two
-    * sides crossed always have disjoint middles).
-    */
-  private[stream] def sideFromRaw(raw: ArrayBuffer[(Long, Long, Long)], delta: Long): Side = {
-    val fa = new ArrayBuffer[(Long, Long)]()
-    val fd = new ArrayBuffer[(Long, Long)]()
-    raw.foreach { case (_, s, a) =>
-      if (s != a && math.abs(a - s) <= delta) {
-        if (s < a) fa += ((s, a)) else fd += ((a, s))
-      }
-    }
-    new Side(WList.sorted(fa, 0L), WList.sorted(fd, 0L))
   }
 }

@@ -1,5 +1,7 @@
 package repro.stream
 
+import java.util.concurrent.ExecutorService
+
 import repro.graph.TemporalEdge
 
 /** Sliding-window streaming temporal butterfly counting (§ 6.2).
@@ -12,7 +14,9 @@ import repro.graph.TemporalEdge
   *
   * `threads == 0` selects the sequential single-edge algorithm STBC;
   * `threads >= 1` selects the batch algorithm STBC+ with that many worker
-  * threads (STBC+-1 matches the paper's single-thread batch variant).
+  * threads (STBC+-1 matches the paper's single-thread batch variant). With
+  * more than one thread, a run owns one fixed pool for all of its batches
+  * and shuts it down before returning, also when `onStep` throws.
   */
 object SlidingWindow {
 
@@ -23,9 +27,21 @@ object SlidingWindow {
       threads: Int = 0,
       onStep: Step => Unit = _ => ()): Array[Long] = {
     require(window > 0 && stride > 0 && stride <= window, "need 0 < stride <= window")
-    require(edges.sliding(2).forall(p => p.length < 2 || p(0).t <= p(1).t),
-      "stream edges must be chronologically sorted")
+    require(threads >= 0, s"threads must be >= 0 (0 selects STBC), got $threads")
+    var i = 1
+    while (i < edges.length) {
+      if (edges(i).t < edges(i - 1).t)
+        throw new IllegalArgumentException(
+          s"stream edges must be chronologically sorted: edge $i ${edges(i)} follows ${edges(i - 1)}")
+      i += 1
+    }
+    if (threads > 1) STBCPlus.withPool(threads)(p => slide(edges, window, stride, delta, threads, Some(p), onStep))
+    else slide(edges, window, stride, delta, threads, None, onStep)
+  }
 
+  private def slide(
+      edges: IndexedSeq[TemporalEdge], window: Int, stride: Int, delta: Long,
+      threads: Int, pool: Option[ExecutorService], onStep: Step => Unit): Array[Long] = {
     val g = new StreamGraph
     val counts = new Array[Long](6)
 
@@ -41,7 +57,7 @@ object SlidingWindow {
           add(STBC.countContaining(g, e, delta))
           i += 1
         }
-      } else add(STBCPlus.insertBatch(g, edges.slice(lo, hi), delta, threads))
+      } else add(STBCPlus.insertBatch(g, edges.slice(lo, hi), delta, threads, pool))
 
     def deleteRange(lo: Int, hi: Int): Unit =
       if (threads == 0) {
@@ -52,7 +68,7 @@ object SlidingWindow {
           g.delete(e)
           i += 1
         }
-      } else sub(STBCPlus.deleteBatch(g, edges.slice(lo, hi), delta, threads))
+      } else sub(STBCPlus.deleteBatch(g, edges.slice(lo, hi), delta, threads, pool))
 
     val firstEnd = math.min(window, edges.length)
     insertRange(0, firstEnd)

@@ -1,5 +1,7 @@
 package repro.stream
 
+import scala.jdk.CollectionConverters._
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
@@ -201,6 +203,61 @@ class StreamSpec extends AnyFunSuite {
     val edges = sortedStream(1, 3, 3, 30, 50)
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 0, 1, 10))
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 20, 10))
+    val ex = intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 5, 10, threads = -1))
+    assert(ex.getMessage.contains("-1"))
+  }
+
+  // ---------- invalid input fails loudly ----------
+
+  test("counting an edge with an endpoint not in the graph fails loudly") {
+    val g = new StreamGraph
+    g.insert(TemporalEdge(0, 0, 1))
+    val noLower = TemporalEdge(0, 7, 2)
+    val noUpper = TemporalEdge(9, 0, 2)
+    val calls = Seq[TemporalEdge => Any](
+      STBC.countContaining(g, _, 10),
+      STBCPlus.countExtreme(g, _, 10, asMin = true),
+      STBCPlus.countExtreme(g, _, 10, asMin = false))
+    for (count <- calls; e <- Seq(noLower, noUpper)) {
+      val ex = intercept[IllegalArgumentException](count(e))
+      assert(ex.getMessage.contains(e.toString))
+    }
+  }
+
+  test("deleting an edge that is not in the graph fails loudly") {
+    val g = new StreamGraph
+    g.insert(TemporalEdge(0, 0, 1))
+    for (e <- Seq(TemporalEdge(5, 0, 1), TemporalEdge(0, 5, 1), TemporalEdge(0, 0, 2))) {
+      val ex = intercept[IllegalArgumentException](g.delete(e))
+      assert(ex.getMessage.contains(e.toString))
+    }
+    assert(g.numEdges == 1)
+  }
+
+  /** Live STBC+ pool threads, after giving finished ones time to exit. */
+  private def liveWorkers(): Set[Thread] = {
+    def named = Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith(STBCPlus.WorkerPrefix)).toSet
+    named.foreach(_.join(10000))
+    named
+  }
+
+  test("sliding window runs on one pool and leaves no threads behind") {
+    assert(liveWorkers().isEmpty)
+    val edges = sortedStream(77, 6, 7, 240, 400)
+    val seen = scala.collection.mutable.Set.empty[Thread]
+    SlidingWindow.run(edges, window = 80, stride = 25, delta = 90L, threads = 4,
+      onStep = _ => seen ++= Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith(STBCPlus.WorkerPrefix)))
+    assert(seen.nonEmpty && seen.size <= 4, s"${seen.size} workers over the run, expected one pool of 4")
+    assert(liveWorkers().isEmpty)
+  }
+
+  test("sliding window shuts its pool down when onStep throws") {
+    val edges = sortedStream(78, 6, 7, 240, 400)
+    val ex = intercept[IllegalStateException](
+      SlidingWindow.run(edges, window = 80, stride = 25, delta = 90L, threads = 4,
+        onStep = s => if (s.index == 2) throw new IllegalStateException("stop")))
+    assert(ex.getMessage == "stop")
+    assert(liveWorkers().isEmpty)
   }
 
   test("sliding window rejects unsorted streams") {
