@@ -9,17 +9,13 @@ import repro.sparkdist.SparkButterfly
 
 /** Distributed temporal butterfly counting via the Spark pipeline.
   *
-  * spark-submit --class repro.jobs.SparkCountJob <jar> [dataset] [deltaDays] [variant]
+  * spark-submit --class repro.jobs.SparkCountJob <jar> [dataset] [deltaDays] [baseline|plus|plusplus]
   */
 object SparkCountJob {
   def main(args: Array[String]): Unit = {
     val key = args.lift(0).getOrElse("WN")
     val deltaDays = args.lift(1).map(_.toLong).getOrElse(40L)
-    val variant = args.lift(2).getOrElse("plusplus") match {
-      case "baseline" => Variant.Baseline
-      case "plus"     => Variant.Plus
-      case _          => Variant.PlusPlus
-    }
+    val variant = Variant.byName(args.lift(2).getOrElse("plusplus"))
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"tbfc-$key")

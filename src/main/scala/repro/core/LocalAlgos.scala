@@ -42,19 +42,24 @@ object LocalAlgos {
     h
   }
 
+  /** Run `f(start, end, wedges)` on every (start-vertex, end-vertex) group
+    * of at least two wedges; fewer cannot form a butterfly.
+    */
+  private def foreachGroup(g: LocalGraph, delta: Long, prune: Boolean)(
+      f: (Int, Int, ArrayBuffer[(Long, Long, Long)]) => Unit): Unit = {
+    var u = 0
+    while (u < g.n) {
+      wedgeGroups(g, u, delta, prune).foreach { case (w, ws) => if (ws.length > 1) f(u, w, ws) }
+      u += 1
+    }
+  }
+
   /** Run `variant` counting over the whole graph. */
   def count(g: LocalGraph, delta: Long, variant: Variant,
             deadline: Long = Long.MaxValue): Array[Long] = {
     val counts = new Array[Long](ButterflyType.NumTypes)
-    val prune = variant != Variant.Baseline
-    var u = 0
-    while (u < g.n) {
-      val h = wedgeGroups(g, u, delta, prune)
-      h.foreach { case (_, ws) =>
-        if (ws.length > 1)
-          LocalCombine.count(ws, g.layer(u).toInt, delta, variant, counts, deadline)
-      }
-      u += 1
+    foreachGroup(g, delta, variant != Variant.Baseline) { (u, _, ws) =>
+      LocalCombine.count(ws, g.layer(u).toInt, delta, variant, counts, deadline)
     }
     counts
   }
@@ -81,27 +86,19 @@ object LocalAlgos {
   ): (Long, ArrayBuffer[Instance]) = {
     val out = new ArrayBuffer[Instance]()
     var total = 0L
-    val prune = variant != Variant.Baseline
-    var u = 0
-    while (u < g.n) {
-      val h = wedgeGroups(g, u, delta, prune)
+    foreachGroup(g, delta, variant != Variant.Baseline) { (u, w, ws) =>
       val layer = g.layer(u).toInt
       val startOrig = g.origId(u)
-      h.foreach { case (w, ws) =>
-        if (ws.length > 1) {
-          val endOrig = g.origId(w)
-          val sink = new SetCross.EnumSink {
-            def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                     mid2: Long, s2: Long, a2: Long): Unit = {
-              total += 1
-              if (collect)
-                out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
-            }
-          }
-          LocalCombine.enumerate(ws, layer, delta, variant, sink, deadline)
+      val endOrig = g.origId(w)
+      val sink = new SetCross.EnumSink {
+        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
+                 mid2: Long, s2: Long, a2: Long): Unit = {
+          total += 1
+          if (collect)
+            out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
         }
       }
-      u += 1
+      LocalCombine.enumerate(ws, layer, delta, variant, sink, deadline)
     }
     (total, out)
   }

@@ -13,6 +13,11 @@ object Variant {
   case object Plus     extends Variant { val name = "plus" }
   case object PlusPlus extends Variant { val name = "plusplus" }
   val all: Seq[Variant] = Seq(Baseline, Plus, PlusPlus)
+
+  /** The variant called `name`; an unknown name fails, naming the valid ones. */
+  def byName(name: String): Variant =
+    all.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown variant '$name'; expected one of ${all.map(_.name).mkString(", ")}"))
 }
 
 /** Per-(start-vertex, end-vertex) wedge combination.
@@ -37,14 +42,10 @@ object LocalCombine {
       deadline: Long = Long.MaxValue): Unit =
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, counts, null, deadline)
-      case Variant.Plus =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1)
-          SetCross.recurCount(sides, layer, delta, counts, () => new HPIndex(withMids = false), deadline)
-      case Variant.PlusPlus =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1)
-          SetCross.recurCount(sides, layer, delta, counts, () => new TreeIndex, deadline)
+      case _ =>
+        val mkIndex: () => WedgeIndex =
+          if (variant == Variant.Plus) () => new HPIndex(withMids = false) else () => new TreeIndex
+        SetCross.recurCount(buildSides(wedges, delta), layer, delta, counts, mkIndex, deadline)
     }
 
   /** Enumerate butterflies of one group through `sink`. */
@@ -55,8 +56,9 @@ object LocalCombine {
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, null, sink, deadline)
       case _ =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1) SetCross.recurEnum(sides, layer, delta, sink, deadline)
+        val mkIndex = () => new HPIndex(withMids = true)
+        SetCross.recur(buildSides(wedges, delta))(
+          SetCross.cross(_, _, layer, delta, null, mkIndex, sink, deadline))
     }
 
   /** The baseline "enumerate-filter-match" inner loop (Algorithm 1 lines

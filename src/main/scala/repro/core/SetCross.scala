@@ -80,8 +80,8 @@ final class BenchTimeout extends RuntimeException("bench deadline exceeded")
 
 /** The Combine()/Recur()/SetCross() framework of Algorithms 2–6.
   *
-  * `recur*` recursively merges the per-middle-vertex wedge sets bottom-up
-  * (Mergesort-style); each `cross*` pairs the wedges of two merged halves —
+  * `recur` merges the per-middle-vertex wedge sets bottom-up
+  * (Mergesort-style); each `cross` pairs the wedges of two merged halves —
   * which by construction have disjoint middle-vertex populations, so only
   * valid butterfly wedge pairs are ever examined, and each exactly once.
   */
@@ -94,6 +94,23 @@ object SetCross {
     def emit(btype: Int, mid1: Long, s1: Long, a1: Long, mid2: Long, s2: Long, a2: Long): Unit
   }
 
+  /** Recur() of Algorithms 3–5: calls `crossPair` on the two merged halves
+    * at every merge node. Counting (TBC+/TBC++) and enumeration (TBE+)
+    * differ only in that call.
+    */
+  private[core] def recur(sides: Array[Side])(crossPair: (Side, Side) => Unit): Unit = {
+    def go(lo: Int, hi: Int): Side =
+      if (hi - lo == 1) sides(lo)
+      else {
+        val mid = (lo + hi) >>> 1
+        val l = go(lo, mid)
+        val r = go(mid, hi)
+        crossPair(l, r)
+        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
+      }
+    if (sides.length > 1) go(0, sides.length)
+  }
+
   /** Recursively combine `sides` and add butterfly counts into `counts`.
     *
     * @param mkIndex  index factory: HPIndex for TBC+, TreeIndex for TBC++
@@ -102,34 +119,8 @@ object SetCross {
   def recurCount(
       sides: Array[Side], layer: Int, delta: Long,
       counts: Array[Long], mkIndex: () => WedgeIndex,
-      deadline: Long = Long.MaxValue): Unit = {
-    def go(lo: Int, hi: Int): Side =
-      if (hi - lo == 1) sides(lo)
-      else {
-        val mid = (lo + hi) >>> 1
-        val l = go(lo, mid)
-        val r = go(mid, hi)
-        cross(l, r, layer, delta, counts, mkIndex, null, deadline)
-        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
-      }
-    if (sides.length > 1) go(0, sides.length)
-  }
-
-  /** Enumeration flavour of [[recurCount]] — TBE+ (Algorithm 5). */
-  def recurEnum(
-      sides: Array[Side], layer: Int, delta: Long,
-      sink: EnumSink, deadline: Long = Long.MaxValue): Unit = {
-    def go(lo: Int, hi: Int): Side =
-      if (hi - lo == 1) sides(lo)
-      else {
-        val mid = (lo + hi) >>> 1
-        val l = go(lo, mid)
-        val r = go(mid, hi)
-        cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink, deadline)
-        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
-      }
-    if (sides.length > 1) go(0, sides.length)
-  }
+      deadline: Long = Long.MaxValue): Unit =
+    recur(sides)(cross(_, _, layer, delta, counts, mkIndex, null, deadline))
 
   /** SetCross() (Algorithm 3 lines 8–28): pair every wedge of side `si`
     * with every compatible wedge of side `sj`, processing all four subsets

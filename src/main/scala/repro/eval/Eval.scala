@@ -1,7 +1,5 @@
 package repro.eval
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.core.{BenchTimeout, LocalAlgos, Variant}
 import repro.graph.{Datasets, LocalGraph, SynthBipartite, TemporalEdge}
 
@@ -80,6 +78,19 @@ object Eval {
       spec.paperE, spec.paperU, spec.paperL, spec.paperSpanDays)
   }
 
+  /** Table 3 over every catalog dataset, printed; returns its rows. */
+  def table3(): Seq[DatasetStats] = {
+    val rows = Datasets.all.map(datasetStats)
+    println("=== Table 3: The summary of datasets (synthetic, scale ~1/256) ===")
+    printTable(
+      Seq("Dataset", "|E|", "|U|", "|L|", "Span(d)",
+          "paper|E|", "paper|U|", "paper|L|", "paperSpan(d)"),
+      rows.map(r => Seq(r.key, r.e.toString, r.u.toString, r.l.toString,
+        f"${r.spanDays}%.2f", r.paperE.toString, r.paperU.toString,
+        r.paperL.toString, f"${r.paperSpanDays}%.2f")))
+    rows
+  }
+
   // ------------------------------------------------------------------
   // Table 4: per-type count distribution at delta = 40 days
   // ------------------------------------------------------------------
@@ -91,37 +102,78 @@ object Eval {
     DistRow(spec.key, spec.entities, c, pct(c))
   }
 
+  /** Table 4 over every catalog dataset, printed; returns its rows. */
+  def table4(delta: Long): Seq[DistRow] = {
+    val rows = Datasets.all.map(s => table4Row(s, delta))
+    println(s"=== Table 4: The distribution of counts while delta = ${delta / 86400} days ===")
+    printTable(
+      Seq("Dataset", "Entities", "Total") ++ (0 until 6).map(i => s"T$i"),
+      rows.map(r => Seq(r.key, r.entities, r.counts.sum.toString) ++
+        r.pcts.map(p => f"$p%.1f%%")))
+    rows
+  }
+
   // ------------------------------------------------------------------
   // Figure 11/12-style overall performance (counting + enumeration)
   // ------------------------------------------------------------------
 
   final case class PerfRow(key: String, results: Seq[(String, Either[String, Timed[Array[Long]]])])
 
-  val CountingAlgos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
+  /** The five algorithms of Figure 11, each run as `(graph, delta, deadline)`. */
+  val Algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
     "TBC"   -> ((g, d, dl) => LocalAlgos.tbc(g, d, dl)),
     "TBC+"  -> ((g, d, dl) => LocalAlgos.tbcPlus(g, d, dl)),
     "TBC++" -> ((g, d, dl) => LocalAlgos.tbcPlusPlus(g, d, dl)),
+    "TBE"   -> ((g, d, dl) => Array(LocalAlgos.tbe(g, d, collect = false, dl)._1)),
+    "TBE+"  -> ((g, d, dl) => Array(LocalAlgos.tbePlus(g, d, collect = false, dl)._1)),
   )
 
-  val EnumAlgos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
-    "TBE"  -> ((g, d, dl) => Array(LocalAlgos.tbe(g, d, collect = false, dl)._1)),
-    "TBE+" -> ((g, d, dl) => Array(LocalAlgos.tbePlus(g, d, collect = false, dl)._1)),
-  )
-
-  def perfRow(spec: Datasets.Spec, delta: Long, limitMs: Long,
-              algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])]): PerfRow =
-    perfRowLimits(spec, delta, _ => limitMs, algos)
-
-  /** Like [[perfRow]] but with a per-algorithm TLE cap — hopeless baseline
-    * runs can be cut short without capping the heavyweight-but-feasible
-    * optimized runs.
+  /** Every algorithm of [[Algos]] on `spec`, each under its own TLE cap —
+    * hopeless baseline runs can be cut short without capping the
+    * heavyweight-but-feasible optimized runs.
     */
-  def perfRowLimits(spec: Datasets.Spec, delta: Long, limitMs: String => Long,
-                    algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])]): PerfRow = {
+  def perfRow(spec: Datasets.Spec, delta: Long, limitMs: String => Long): PerfRow = {
     val g = graphOf(spec)
-    PerfRow(spec.key, algos.map { case (name, run) =>
+    PerfRow(spec.key, Algos.map { case (name, run) =>
       name -> capped(limitMs(name))(dl => run(g, delta, dl))
     })
+  }
+
+  /** Figure 11-style table over every catalog dataset at delta = 40 days,
+    * printed; returns each dataset's row.
+    */
+  def overallPerf(limitMs: String => Long): Seq[(Datasets.Spec, PerfRow)] = {
+    val perf = Datasets.all.map(s => s -> perfRow(s, Datasets.DefaultDeltaSeconds, limitMs))
+    println("=== Overall performance (delta = 40 days) ===")
+    printTable(
+      Seq("Dataset") ++ Algos.map(_._1 + "(ms)") :+ "Total counts",
+      perf.map { case (spec, row) =>
+        val total = row.results.collectFirst {
+          case ("TBC++", Right(t)) => t.value.sum.toString
+        }.getOrElse("?")
+        Seq(spec.key) ++ row.results.map { case (_, res) => fmtMs(res) } :+ total
+      })
+    perf
+  }
+
+  /** Figure 13/16-style sweep of delta on dataset `key`: every algorithm's
+    * time and the per-type counts, printed; returns
+    * `(deltaDays, times, counts)` per delta.
+    */
+  def deltaSweep(key: String, limitMs: Long): Seq[(Long, PerfRow, DistRow)] = {
+    val spec = Datasets.byKey(key)
+    val sweep = Seq(10L, 20L, 40L, 80L, 160L).map { d =>
+      val delta = d * 86400L
+      (d, perfRow(spec, delta, _ => limitMs), table4Row(spec, delta))
+    }
+    println(s"=== Varying delta on $key (TLE = ${limitMs / 1000}s) ===")
+    printTable(
+      Seq("delta") ++ Algos.map(_._1 + "(ms)") ++ Seq("Total") ++ (0 until 6).map(i => s"T$i"),
+      sweep.map { case (d, row, dist) =>
+        Seq(s"${d}d") ++ row.results.map { case (_, r) => fmtMs(r) } ++
+          Seq(dist.counts.sum.toString) ++ dist.pcts.map(p => f"$p%.0f%%")
+      })
+    sweep
   }
 
   /** Scalability: run on a random fraction of edges (averaged over reps). */
@@ -140,5 +192,31 @@ object Eval {
       rep += 1
     }
     Right(total / reps)
+  }
+
+  val ScalabilityFractions: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8, 1.0)
+
+  /** Figure 15-style scalability table of dataset `key`: for every edge
+    * fraction, each counting variant's mean time (or TLE) at delta = 40 days,
+    * printed. Returns the cells keyed by fraction and variant name.
+    */
+  def scalabilityTable(key: String, limitMs: Long, reps: Int,
+                       seed: Long): Seq[(Double, Seq[(String, Either[String, Double])])] = {
+    val edges = edgesOf(Datasets.byKey(key))
+    val table = ScalabilityFractions.map { f =>
+      f -> Variant.all.map { v =>
+        v.name -> scalabilityPoint(edges, f, Datasets.DefaultDeltaSeconds, limitMs, v, reps, seed)
+      }
+    }
+    println(s"=== Scalability on $key (TLE = ${limitMs / 1000}s, $reps reps) ===")
+    printTable(
+      Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"),
+      table.map { case (f, cells) =>
+        Seq(f"${(f * 100).toInt}%%") ++ cells.map {
+          case (_, Left(s)) => s
+          case (_, Right(ms)) => f"$ms%.1f"
+        }
+      })
+    table
   }
 }

@@ -1,6 +1,6 @@
 package repro.sparkdist
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
@@ -77,24 +77,32 @@ object SparkButterfly {
     pruned.as[WedgeRow]
   }
 
+  /** Run `f(start, end, wedges)` inside `flatMapGroups` on every
+    * (start-vertex, end-vertex) group of at least two wedges, each group's
+    * wedges gathered once into one raw `(mid, s, a)` buffer.
+    */
+  private def perGroup[T: Encoder](edges: DataFrame, delta: Long, variant: Variant)(
+      f: (Long, Long, ArrayBuffer[(Long, Long, Long)]) => Iterator[T]): Dataset[T] = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    wedges(edges, delta, prune = variant != Variant.Baseline)
+      .groupByKey(r => (r.a, r.w))
+      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
+        val buf = new ArrayBuffer[(Long, Long, Long)]()
+        it.foreach(r => buf += ((r.m, r.t1, r.t2)))
+        if (buf.length < 2) Iterator.empty else f(key._1, key._2, buf)
+      }
+  }
+
   /** Exact per-type counts, one slot per butterfly type. */
   def count(edges: DataFrame, delta: Long, variant: Variant = Variant.PlusPlus): Array[Long] = {
     val spark = edges.sparkSession
     import spark.implicits._
-    val perType = wedges(edges, delta, prune = variant != Variant.Baseline)
-      .groupByKey(r => (r.a, r.w))
-      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
-        val a = key._1
-        val buf = new ArrayBuffer[(Long, Long, Long)]()
-        it.foreach(r => buf += ((r.m, r.t1, r.t2)))
-        if (buf.length < 2) Iterator.empty
-        else {
-          val counts = new Array[Long](6)
-          LocalCombine.count(buf, (a & 1L).toInt, delta, variant, counts)
-          Iterator.range(0, 6).map(i => (i, counts(i))).filter(_._2 != 0L)
-        }
-      }
-      .toDF("btype", "cnt")
+    val perType = perGroup(edges, delta, variant) { (a, _, buf) =>
+      val counts = new Array[Long](6)
+      LocalCombine.count(buf, (a & 1L).toInt, delta, variant, counts)
+      Iterator.range(0, 6).map(i => (i, counts(i))).filter(_._2 != 0L)
+    }.toDF("btype", "cnt")
       .groupBy($"btype").agg(sum($"cnt").as("cnt"))
       .collect()
     val out = new Array[Long](6)
@@ -116,27 +124,19 @@ object SparkButterfly {
                 variant: Variant = Variant.Plus): Dataset[Instance] = {
     val spark = edges.sparkSession
     import spark.implicits._
-    wedges(edges, delta, prune = variant != Variant.Baseline)
-      .groupByKey(r => (r.a, r.w))
-      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
-        val (a, w) = key
-        val buf = new ArrayBuffer[(Long, Long, Long)]()
-        it.foreach(r => buf += ((r.m, r.t1, r.t2)))
-        if (buf.length < 2) Iterator.empty
-        else {
-          val layer = (a & 1L).toInt
-          val startOrig = a >> 1
-          val endOrig = w >> 1
-          val out = new ArrayBuffer[Instance]()
-          val sink = new SetCross.EnumSink {
-            def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                     mid2: Long, s2: Long, a2: Long): Unit =
-              out += Instance.canonical(btype, layer, startOrig, endOrig,
-                mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
-          }
-          LocalCombine.enumerate(buf, layer, delta, variant, sink)
-          out.iterator
-        }
+    perGroup(edges, delta, variant) { (a, w, buf) =>
+      val layer = (a & 1L).toInt
+      val startOrig = a >> 1
+      val endOrig = w >> 1
+      val out = new ArrayBuffer[Instance]()
+      val sink = new SetCross.EnumSink {
+        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
+                 mid2: Long, s2: Long, a2: Long): Unit =
+          out += Instance.canonical(btype, layer, startOrig, endOrig,
+            mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
       }
+      LocalCombine.enumerate(buf, layer, delta, variant, sink)
+      out.iterator
+    }
   }
 }

@@ -73,28 +73,13 @@ final class OrderStatTree {
 
   private def minNode(n: Node): Node = if (n.l == null) n else minNode(n.l)
 
-  /** Remove the whole node holding the subtree minimum (used on successor swap). */
-  private def delMin(n: Node): Node =
-    if (n.l == null) n.r
-    else { n.l = delMin(n.l); rebalance(n) }
-
   private def del(n: Node, key: Long): Node =
     if (n == null) n // key absent: no-op (erase() pre-checks presence)
     else {
       if (key < n.key) n.l = del(n.l, key)
       else if (key > n.key) n.r = del(n.r, key)
       else if (n.cnt > 1) n.cnt -= 1
-      else {
-        if (n.l == null) return n.r
-        if (n.r == null) return n.l
-        val s = minNode(n.r)
-        val m = new Node(s.key)
-        m.cnt = s.cnt
-        // detach the successor node entirely, then graft children
-        m.r = delAll(n.r, s.key)
-        m.l = n.l
-        return rebalance(m)
-      }
+      else return unlink(n)
       rebalance(n)
     }
 
@@ -104,17 +89,24 @@ final class OrderStatTree {
     else {
       if (key < n.key) n.l = delAll(n.l, key)
       else if (key > n.key) n.r = delAll(n.r, key)
-      else {
-        if (n.l == null) return n.r
-        if (n.r == null) return n.l
-        val s = minNode(n.r)
-        val m = new Node(s.key)
-        m.cnt = s.cnt
-        m.r = delAll(n.r, s.key)
-        m.l = n.l
-        return rebalance(m)
-      }
+      else return unlink(n)
       rebalance(n)
+    }
+
+  /** The subtree left after removing node `n` with all its duplicates: with
+    * two children, a copy of the successor takes `n`'s place and the
+    * successor node is detached from the right subtree.
+    */
+  private def unlink(n: Node): Node =
+    if (n.l == null) n.r
+    else if (n.r == null) n.l
+    else {
+      val s = minNode(n.r)
+      val m = new Node(s.key)
+      m.cnt = s.cnt
+      m.r = delAll(n.r, s.key)
+      m.l = n.l
+      rebalance(m)
     }
 
   /** Insert one occurrence of `key`. O(log n). */

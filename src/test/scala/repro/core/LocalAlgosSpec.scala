@@ -135,8 +135,21 @@ class LocalAlgosSpec extends AnyFunSuite {
   test("deadline aborts long runs with BenchTimeout") {
     val edges = TestUtil.randomEdges(7, 3, 3, 400, 100)
     val g = LocalGraph.fromEdges(edges)
-    intercept[BenchTimeout] {
-      LocalAlgos.tbc(g, 100, deadline = System.nanoTime() - 1)
-    }
+    val past = System.nanoTime() - 1
+    val runs: Seq[(String, () => Any)] = Seq(
+      "TBC"   -> (() => LocalAlgos.tbc(g, 100, deadline = past)),
+      "TBC+"  -> (() => LocalAlgos.tbcPlus(g, 100, deadline = past)),
+      "TBC++" -> (() => LocalAlgos.tbcPlusPlus(g, 100, deadline = past)),
+      "TBE"   -> (() => LocalAlgos.tbe(g, 100, collect = false, deadline = past)),
+      "TBE+"  -> (() => LocalAlgos.tbePlus(g, 100, collect = false, deadline = past)))
+    for ((name, run) <- runs)
+      withClue(s"$name: ") { intercept[BenchTimeout](run()) }
+  }
+
+  test("Variant.byName resolves every variant and rejects an unknown name") {
+    Variant.all.foreach(v => assert(Variant.byName(v.name) == v))
+    val e = intercept[IllegalArgumentException](Variant.byName("plsu"))
+    assert(e.getMessage.contains("plsu"))
+    Variant.all.foreach(v => assert(e.getMessage.contains(v.name)))
   }
 }
