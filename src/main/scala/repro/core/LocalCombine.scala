@@ -4,8 +4,8 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Which algorithm flavour to run. Baseline = TBC/TBE (§ 3), Plus =
-  * TBC+/TBE+ (§ 4.2/4.3, hashmap HP), PlusPlus = TBC++ (§ 4.4, twin
-  * order-statistic trees).
+  * TBC+/TBE+ (§ 4.2/4.3, hashmap HP), PlusPlus = TBC++ (§ 4.4, the twin
+  * order-statistic trees as Fenwick rank indexes, [[RankIndex]]).
   */
 sealed trait Variant extends Serializable { def name: String }
 object Variant {
@@ -43,9 +43,10 @@ object LocalCombine {
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, counts, null, deadline)
       case _ =>
-        val mkIndex: () => WedgeIndex =
-          if (variant == Variant.Plus) () => new HPIndex(withMids = false) else () => new TreeIndex
-        SetCross.recurCount(buildSides(wedges, delta), layer, delta, counts, mkIndex, deadline)
+        val mkIndex: WList => WedgeIndex =
+          if (variant == Variant.Plus) _ => new HPIndex(withMids = false) else new RankIndex(_)
+        SetCross.recur(buildSides(wedges, delta))(
+          SetCross.cross(_, _, layer, delta, counts, mkIndex, null, deadline))
     }
 
   /** Enumerate butterflies of one group through `sink`. */
@@ -56,7 +57,7 @@ object LocalCombine {
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, null, sink, deadline)
       case _ =>
-        val mkIndex = () => new HPIndex(withMids = true)
+        val mkIndex: WList => WedgeIndex = _ => new HPIndex(withMids = true)
         SetCross.recur(buildSides(wedges, delta))(
           SetCross.cross(_, _, layer, delta, null, mkIndex, sink, deadline))
     }
@@ -95,7 +96,13 @@ object LocalCombine {
     */
   def buildSides(wedges: ArrayBuffer[(Long, Long, Long)], delta: Long): Array[Side] = {
     val byMid = mutable.LinkedHashMap.empty[Long, SideBuilder]
-    wedges.foreach { case (mid, s, a) => byMid.getOrElseUpdate(mid, new SideBuilder).add(s, a, delta) }
+    // wedges through one middle-vertex mostly come in runs: look up once per run
+    var lastMid = 0L
+    var last: SideBuilder = null
+    wedges.foreach { case (mid, s, a) =>
+      if (last == null || mid != lastMid) { last = byMid.getOrElseUpdate(mid, new SideBuilder); lastMid = mid }
+      last.add(s, a, delta)
+    }
     byMid.iterator.collect { case (mid, b) if b.nonEmpty => b.result(mid) }.toArray
   }
 }

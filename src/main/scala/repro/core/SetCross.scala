@@ -2,46 +2,72 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
+import repro.util.ArgSort
+
 /** A flat list of normalized wedges (`ts < ta`) sorted by wedge priority:
   * `ts` descending, then `ta` ascending (Definition 6 — lower priority, i.e.
   * larger `ts`, is processed first). `mid` carries the middle-vertex for
-  * enumeration; counting ignores it.
+  * enumeration; counting ignores it. `ord` holds the positions sorted by
+  * `ta` ascending, so an index over the list ranks end times without
+  * sorting.
   */
-final class WList(val ts: Array[Long], val ta: Array[Long], val mid: Array[Long]) {
+final class WList(val ts: Array[Long], val ta: Array[Long], val mid: Array[Long], val ord: Array[Int]) {
   @inline def size: Int = ts.length
 }
 
 object WList {
-  val empty = new WList(Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray)
+  val empty = new WList(Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray, Array.emptyIntArray)
 
-  /** Build a priority-sorted list from unsorted normalized wedges. */
-  def sorted(buf: ArrayBuffer[(Long, Long)], mid: Long): WList = {
-    val arr = buf.toArray
-    java.util.Arrays.sort(arr, (p: (Long, Long), q: (Long, Long)) => {
-      if (p._1 != q._1) java.lang.Long.compare(q._1, p._1)
-      else java.lang.Long.compare(p._2, q._2)
-    })
-    new WList(arr.map(_._1), arr.map(_._2), Array.fill(arr.length)(mid))
-  }
+  /** Build a priority-sorted list from the first `n` unsorted normalized
+    * wedges `(ts(i), ta(i))`, with primitive index sorts.
+    */
+  def sorted(ts: Array[Long], ta: Array[Long], n: Int, mid: Long): WList =
+    if (n == 0) empty
+    else {
+      val byPri = ArgSort(n)((i, j) => if (ts(i) != ts(j)) ts(i) > ts(j) else ta(i) < ta(j))
+      val sTs = new Array[Long](n); val sTa = new Array[Long](n)
+      var k = 0
+      while (k < n) { sTs(k) = ts(byPri(k)); sTa(k) = ta(byPri(k)); k += 1 }
+      val mids = new Array[Long](n)
+      java.util.Arrays.fill(mids, mid)
+      new WList(sTs, sTa, mids, ArgSort(n)((i, j) => sTa(i) < sTa(j)))
+    }
 
-  /** Mergesort-style merge of two priority-sorted lists (Merge() of Alg. 3). */
+  /** Build a priority-sorted list from unsorted normalized wedges `(ts, ta)`. */
+  def sorted(buf: ArrayBuffer[(Long, Long)], mid: Long): WList =
+    sorted(buf.iterator.map(_._1).toArray, buf.iterator.map(_._2).toArray, buf.length, mid)
+
+  /** Mergesort-style merge of two priority-sorted lists (Merge() of Alg. 3);
+    * the `ta` orders of the two are merged alongside, in linear time.
+    */
   def merge(x: WList, y: WList): WList = {
     if (x.size == 0) return y
     if (y.size == 0) return x
     val n = x.size + y.size
     val ts = new Array[Long](n); val ta = new Array[Long](n); val mid = new Array[Long](n)
+    // where each wedge lands: x's at [0, x.size), y's at [x.size, n)
+    val at = new Array[Int](n)
     var i = 0; var j = 0; var k = 0
     while (i < x.size && j < y.size) {
       val takeX =
         if (x.ts(i) != y.ts(j)) x.ts(i) > y.ts(j)
         else x.ta(i) <= y.ta(j)
-      if (takeX) { ts(k) = x.ts(i); ta(k) = x.ta(i); mid(k) = x.mid(i); i += 1 }
-      else { ts(k) = y.ts(j); ta(k) = y.ta(j); mid(k) = y.mid(j); j += 1 }
+      if (takeX) { ts(k) = x.ts(i); ta(k) = x.ta(i); mid(k) = x.mid(i); at(i) = k; i += 1 }
+      else { ts(k) = y.ts(j); ta(k) = y.ta(j); mid(k) = y.mid(j); at(x.size + j) = k; j += 1 }
       k += 1
     }
-    while (i < x.size) { ts(k) = x.ts(i); ta(k) = x.ta(i); mid(k) = x.mid(i); i += 1; k += 1 }
-    while (j < y.size) { ts(k) = y.ts(j); ta(k) = y.ta(j); mid(k) = y.mid(j); j += 1; k += 1 }
-    new WList(ts, ta, mid)
+    while (i < x.size) { ts(k) = x.ts(i); ta(k) = x.ta(i); mid(k) = x.mid(i); at(i) = k; i += 1; k += 1 }
+    while (j < y.size) { ts(k) = y.ts(j); ta(k) = y.ta(j); mid(k) = y.mid(j); at(x.size + j) = k; j += 1; k += 1 }
+    val ord = new Array[Int](n)
+    i = 0; j = 0; k = 0
+    while (i < x.size && j < y.size) {
+      if (x.ta(x.ord(i)) <= y.ta(y.ord(j))) { ord(k) = at(x.ord(i)); i += 1 }
+      else { ord(k) = at(x.size + y.ord(j)); j += 1 }
+      k += 1
+    }
+    while (i < x.size) { ord(k) = at(x.ord(i)); i += 1; k += 1 }
+    while (j < y.size) { ord(k) = at(x.size + y.ord(j)); j += 1; k += 1 }
+    new WList(ts, ta, mid, ord)
   }
 }
 
@@ -58,19 +84,34 @@ final class Side(val a: WList, val d: WList) {
   * into forward (A) and backward (D) lists.
   */
 final class SideBuilder {
-  private val fa = new ArrayBuffer[(Long, Long)]()
-  private val fd = new ArrayBuffer[(Long, Long)]()
+  /** Growable parallel `(ts, ta)` arrays of one direction. */
+  private final class Legs {
+    var ts = new Array[Long](4)
+    var ta = new Array[Long](4)
+    var n = 0
+    def add(s: Long, a: Long): Unit = {
+      if (n == ts.length) {
+        ts = java.util.Arrays.copyOf(ts, 2 * n)
+        ta = java.util.Arrays.copyOf(ta, 2 * n)
+      }
+      ts(n) = s; ta(n) = a; n += 1
+    }
+    def result(mid: Long): WList = WList.sorted(ts, ta, n, mid)
+  }
+
+  private val fa = new Legs
+  private val fd = new Legs
 
   def add(s: Long, a: Long, delta: Long): Unit =
     if (s != a && math.abs(a - s) <= delta) {
-      if (s < a) fa += ((s, a)) else fd += ((a, s))
+      if (s < a) fa.add(s, a) else fd.add(a, s)
     }
 
   /** Whether any added wedge survived the pruning. */
-  def nonEmpty: Boolean = fa.nonEmpty || fd.nonEmpty
+  def nonEmpty: Boolean = fa.n > 0 || fd.n > 0
 
   /** The wedge set, both lists sorted by wedge priority, tagged with `mid`. */
-  def result(mid: Long): Side = new Side(WList.sorted(fa, mid), WList.sorted(fd, mid))
+  def result(mid: Long): Side = new Side(fa.result(mid), fd.result(mid))
 }
 
 /** Thrown by the benchmark deadline check — the analogue of the paper's
@@ -96,7 +137,8 @@ object SetCross {
 
   /** Recur() of Algorithms 3–5: calls `crossPair` on the two merged halves
     * at every merge node. Counting (TBC+/TBC++) and enumeration (TBE+)
-    * differ only in that call.
+    * differ only in that call. The root's halves are crossed but never
+    * merged: nothing reads the merged whole.
     */
   private[core] def recur(sides: Array[Side])(crossPair: (Side, Side) => Unit): Unit = {
     def go(lo: Int, hi: Int): Side =
@@ -106,44 +148,54 @@ object SetCross {
         val l = go(lo, mid)
         val r = go(mid, hi)
         crossPair(l, r)
-        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
+        if (hi - lo == sides.length) null
+        else new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
       }
     if (sides.length > 1) go(0, sides.length)
   }
 
   /** Recursively combine `sides` and add butterfly counts into `counts`.
     *
-    * @param mkIndex  index factory: HPIndex for TBC+, TreeIndex for TBC++
+    * @param mkIndex  index factory, called once per list of every cross
+    *                 (HPIndex for TBC+, TreeIndex for the twin-tree TBC++)
     * @param deadline `System.nanoTime` cap; [[BenchTimeout]] past it
     */
   def recurCount(
       sides: Array[Side], layer: Int, delta: Long,
       counts: Array[Long], mkIndex: () => WedgeIndex,
-      deadline: Long = Long.MaxValue): Unit =
-    recur(sides)(cross(_, _, layer, delta, counts, mkIndex, null, deadline))
+      deadline: Long = Long.MaxValue): Unit = {
+    val perList: WList => WedgeIndex = _ => mkIndex()
+    recur(sides)(cross(_, _, layer, delta, counts, perList, null, deadline))
+  }
+
+  // For a wedge from list k (si.a, si.d, sj.a, sj.d), the same-direction
+  // partner list and the different-direction partner list — always on the
+  // *other* side.
+  private val SamePartner = Array(2, 3, 0, 1)
+  private val DiffPartner = Array(3, 2, 1, 0)
 
   /** SetCross() (Algorithm 3 lines 8–28): pair every wedge of side `si`
     * with every compatible wedge of side `sj`, processing all four subsets
     * jointly in `ts`-descending rounds so each index only ever holds wedges
     * with strictly larger start times than the current one.
     *
+    * `mkIndex` builds the index of one of the four lists; the wedges it
+    * later receives are exactly that list's, in list order.
+    *
     * When `sink` is null, counts are accumulated into `counts`; otherwise
     * instances are emitted (and `counts` may be null).
     */
   def cross(
       si: Side, sj: Side, layer: Int, delta: Long,
-      counts: Array[Long], mkIndex: () => WedgeIndex,
+      counts: Array[Long], mkIndex: WList => WedgeIndex,
       sink: EnumSink, deadline: Long = Long.MaxValue): Unit = {
     if (si.size == 0 || sj.size == 0) return
     val lists = Array(si.a, si.d, sj.a, sj.d)
-    val idx = Array.fill(4)(mkIndex())
-    // For a wedge from list k, the same-direction partner index and the
-    // different-direction partner index — always on the *other* side.
-    val samePartner = Array(2, 3, 0, 1)
-    val diffPartner = Array(3, 2, 1, 0)
+    val idx = lists.map(mkIndex)
     val ptr = new Array[Int](4)
     val pre = new Array[Int](4)
     val tmp = new Array[Long](3)
+    val emit = if (sink == null) null else new PairEmitter(sink, layer)
 
     var live = true
     while (live) {
@@ -159,8 +211,9 @@ object SetCross {
         if (System.nanoTime() > deadline) throw new BenchTimeout
         // Lemma 2: wedges whose end time exceeds maxn + delta can never
         // again satisfy the duration constraint.
+        val bound = Delta.plus(maxn, delta)
         k = 0
-        while (k < 4) { idx(k).deleteAbove(maxn + delta); pre(k) = ptr(k); k += 1 }
+        while (k < 4) { idx(k).deleteAbove(bound); pre(k) = ptr(k); k += 1 }
         // Query every wedge whose start time equals maxn, *before* any of
         // them is inserted — equal start times never co-occur in a butterfly.
         k = 0
@@ -171,26 +224,23 @@ object SetCross {
             val curTa = lst.ta(p)
             if (sink == null) {
               tmp(0) = 0; tmp(1) = 0; tmp(2) = 0
-              idx(samePartner(k)).countCases(curTa, tmp)
+              idx(SamePartner(k)).countCases(curTa, tmp)
               counts(0 ^ layer) += tmp(0)
               counts(1 ^ layer) += tmp(1)
               counts(2 ^ layer) += tmp(2)
               tmp(0) = 0; tmp(1) = 0; tmp(2) = 0
-              idx(diffPartner(k)).countCases(curTa, tmp)
+              idx(DiffPartner(k)).countCases(curTa, tmp)
               counts(3 ^ layer) += tmp(0)
               counts(4 ^ layer) += tmp(1)
               counts(5 ^ layer) += tmp(2)
             } else {
-              val curMid = lst.mid(p)
-              val curIsFwd = k == 0 || k == 2
-              idx(samePartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
-                emitPair(sink, c ^ layer, curIsFwd, curMid, maxn, curTa,
-                  samePartnerIsFwd(k), omid, ots, ota)
-              }
-              idx(diffPartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
-                emitPair(sink, (3 + c) ^ layer, curIsFwd, curMid, maxn, curTa,
-                  !samePartnerIsFwd(k), omid, ots, ota)
-              }
+              // lists 0 and 2 are forward (A), 1 and 3 backward (D)
+              val curFwd = (k & 1) == 0
+              emit.aim(curFwd, lst.mid(p), maxn, curTa)
+              emit.otherFwd = curFwd; emit.base = 0
+              idx(SamePartner(k)).visitCases(curTa)(emit)
+              emit.otherFwd = !curFwd; emit.base = 3
+              idx(DiffPartner(k)).visitCases(curTa)(emit)
             }
             p += 1
           }
@@ -209,17 +259,29 @@ object SetCross {
     }
   }
 
-  @inline private def samePartnerIsFwd(k: Int): Boolean = k == 0 || k == 2
-
-  /** De-normalize the stored wedges back to raw leg order before emitting,
-    * so instances carry the original (start-leg, end-leg) timestamps.
+  /** The enumeration visitor of one cross, re-aimed at every querying
+    * wedge: pairs each visited stored wedge with it and emits both
+    * de-normalized back to raw leg order, so instances carry the original
+    * (start-leg, end-leg) timestamps. Type is `(base + case) ^ layer`.
     */
-  private def emitPair(
-      sink: EnumSink, btype: Int,
-      curFwd: Boolean, curMid: Long, curTs: Long, curTa: Long,
-      otherFwd: Boolean, omid: Long, ots: Long, ota: Long): Unit = {
-    val (s1, a1) = if (curFwd) (curTs, curTa) else (curTa, curTs)
-    val (s2, a2) = if (otherFwd) (ots, ota) else (ota, ots)
-    sink.emit(btype, curMid, s1, a1, omid, s2, a2)
+  private final class PairEmitter(sink: EnumSink, layer: Int) extends ((Int, Long, Long, Long) => Unit) {
+    private var curFwd = false
+    private var curMid = 0L
+    private var curTs = 0L
+    private var curTa = 0L
+    var otherFwd = false
+    var base = 0
+
+    def aim(fwd: Boolean, mid: Long, ts: Long, ta: Long): Unit = {
+      curFwd = fwd; curMid = mid; curTs = ts; curTa = ta
+    }
+
+    def apply(c: Int, ots: Long, ota: Long, omid: Long): Unit = {
+      val s1 = if (curFwd) curTs else curTa
+      val a1 = if (curFwd) curTa else curTs
+      val s2 = if (otherFwd) ots else ota
+      val a2 = if (otherFwd) ota else ots
+      sink.emit((base + c) ^ layer, curMid, s1, a1, omid, s2, a2)
+    }
   }
 }

@@ -165,3 +165,138 @@ final class TreeIndex extends WedgeIndex {
     throw new UnsupportedOperationException(
       "TBC++ is counting-only (the paper defines no TBE++); use HPIndex for enumeration")
 }
+
+/** The TBC++ index of one list of a SetCross pass (§ 4.4, Algorithm 6):
+  * the twin trees `TA`/`TS` as two Fenwick trees over ranks the list
+  * already carries, so every operation stays O(log n) without a node per
+  * wedge.
+  *
+  * SetCross inserts the list's wedges in list order, so the inserted wedges
+  * are always the prefix `[0, inserted)`, sorted by `ts` descending.
+  *   - `TA` is a Fenwick tree over `ta` ranks (`list.ord`) of the inserted
+  *     wedges. It never loses a wedge: every deleted wedge has `ta` above
+  *     some earlier bound `maxn' + δ`, which is at least the current
+  *     `maxn + δ`, which by Lemma 1 is at least any querying `curTa`. So
+  *     the wedges with `ta <= curTa` in `TA` are all live.
+  *   - `TS` is a Fenwick tree over list positions that counts deletions.
+  *     Deletion by maximum `ta` (Lemma 2) walks `list.ord` down from the
+  *     top.
+  *
+  * Query resolution (Lemmas 4–7), each side of the `curTa` split being one
+  * binary search and one prefix sum:
+  *   - c11 = live wedges at positions with `ts > curTa`
+  *   - c13 = (inserted − TA.count(<= curTa) − deleted) − live with `ts >= curTa`
+  *   - c15 = TA.count(< curTa)
+  *
+  * The `<=`/`>=` forms cost a second search only when a timestamp equals
+  * `curTa`. Counting-only, like [[TreeIndex]].
+  *
+  * @throws IllegalStateException when `insert` is not given the list's next
+  *   wedge, or a deletion reaches a wedge never inserted (a list that breaks
+  *   Lemma 1)
+  */
+final class RankIndex(list: WList) extends WedgeIndex {
+  private val n = list.size
+  private val ts = list.ts
+  private val ta = list.ta
+  private val ord = list.ord
+  private val rankOf: Array[Int] = {
+    val r = new Array[Int](n)
+    var k = 0
+    while (k < n) { r(ord(k)) = k; k += 1 }
+    r
+  }
+  private val taTree = new Array[Int](n + 1) // inserted wedges, by ta rank
+  private val tsTree = new Array[Int](n + 1) // deleted wedges, by position
+  private var inserted = 0
+  private var deleted = 0
+  private var top = n - 1 // rank of the largest-ta wedge not yet deleted
+
+  private def add(tree: Array[Int], i: Int): Unit = {
+    var k = i + 1
+    while (k <= n) { tree(k) += 1; k += k & -k }
+  }
+
+  /** Entries of `tree` at `[0, i)`. */
+  private def prefix(tree: Array[Int], i: Int): Int = {
+    var k = i; var s = 0
+    while (k > 0) { s += tree(k); k -= k & -k }
+    s
+  }
+
+  /** Live wedges among positions `[0, i)`. */
+  private def liveBefore(i: Int): Int = if (deleted == 0) i else i - prefix(tsTree, i)
+
+  /** First position in `[0, inserted)` with `ts < x` (`ts <= x` when
+    * `orEqual`). Galloping left from `inserted`: the answer lies among the
+    * wedges with `ts` near the current round's.
+    */
+  private def firstTsBelow(x: Long, orEqual: Boolean): Int = {
+    var lo = 0; var hi = inserted; var step = 1
+    var galloping = true
+    while (galloping) {
+      val p = hi - step
+      if (p < 0) galloping = false
+      else if (ts(p) > x || (!orEqual && ts(p) == x)) { lo = p + 1; galloping = false }
+      else { hi = p; step <<= 1 }
+    }
+    while (lo < hi) {
+      val m = (lo + hi) >>> 1
+      if (ts(m) > x || (!orEqual && ts(m) == x)) lo = m + 1 else hi = m
+    }
+    lo
+  }
+
+  /** First rank with `ta > x` (`ta >= x` when `orEqual`), for `x` no
+    * larger than the last deletion bound: every rank above `top` was
+    * deleted, so has `ta > x`.
+    */
+  private def firstTaAbove(x: Long, orEqual: Boolean): Int = {
+    var lo = 0; var hi = top + 1
+    while (lo < hi) {
+      val m = (lo + hi) >>> 1
+      val t = ta(ord(m))
+      if (t < x || (!orEqual && t == x)) lo = m + 1 else hi = m
+    }
+    lo
+  }
+
+  override def insert(ts: Long, ta: Long, mid: Long): Unit = {
+    if (inserted == n || this.ts(inserted) != ts || this.ta(inserted) != ta)
+      throw new IllegalStateException(
+        s"RankIndex.insert got wedge ($ts, $ta), but the list's next wedge is " +
+          (if (inserted == n) "none" else s"(${this.ts(inserted)}, ${this.ta(inserted)}) at position $inserted"))
+    add(taTree, rankOf(inserted))
+    inserted += 1
+  }
+
+  override def deleteAbove(bound: Long): Unit =
+    while (top >= 0 && ta(ord(top)) > bound) {
+      val p = ord(top)
+      if (p >= inserted)
+        throw new IllegalStateException(
+          s"RankIndex.deleteAbove($bound) reaches wedge (${ts(p)}, ${ta(p)}) at position $p, " +
+            "which was never inserted: the list breaks Lemma 1")
+      add(tsTree, p)
+      deleted += 1
+      top -= 1
+    }
+
+  override def countCases(curTa: Long, out: Array[Long]): Unit = {
+    val tsGt = firstTsBelow(curTa, orEqual = true)
+    val liveTsGt = liveBefore(tsGt)
+    val liveTsGe =
+      if (tsGt < inserted && ts(tsGt) == curTa) liveBefore(firstTsBelow(curTa, orEqual = false)) else liveTsGt
+    val taLt = firstTaAbove(curTa, orEqual = true)
+    val insTaLt = prefix(taTree, taLt)
+    val insTaLe =
+      if (taLt <= top && ta(ord(taLt)) == curTa) prefix(taTree, firstTaAbove(curTa, orEqual = false)) else insTaLt
+    out(0) += liveTsGt
+    out(1) += (inserted - insTaLe - deleted) - liveTsGe
+    out(2) += insTaLt
+  }
+
+  override def visitCases(curTa: Long)(f: (Int, Long, Long, Long) => Unit): Unit =
+    throw new UnsupportedOperationException(
+      "TBC++ is counting-only (the paper defines no TBE++); use HPIndex for enumeration")
+}

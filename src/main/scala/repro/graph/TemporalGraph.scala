@@ -2,6 +2,8 @@ package repro.graph
 
 import scala.collection.mutable
 
+import repro.util.ArgSort
+
 /** One undirected temporal edge of a bipartite graph.
   *
   * `u` is the upper-layer vertex id, `v` the lower-layer vertex id, `t` the
@@ -18,6 +20,10 @@ final case class TemporalEdge(u: Long, v: Long, t: Long)
   * lower-layer ones. `pri` holds the paper's vertex priority (Definition 4):
   * a dense rank by (|E(u)|, tie-broken by original id), larger rank = higher
   * priority. Priority ties never occur because the rank is a total order.
+  *
+  * Each vertex's adjacency (`adjN`, `adjT`) is sorted by time, ascending;
+  * edges with equal timestamps keep their edge-list order. Range scans
+  * over `[t − δ, t + δ]` are therefore binary searches.
   */
 final class LocalGraph(
     val n: Int,
@@ -34,7 +40,9 @@ final class LocalGraph(
 
 object LocalGraph {
 
-  /** Build a [[LocalGraph]] from an edge list. Deterministic in the input order. */
+  /** Build a [[LocalGraph]] from an edge list, adjacency time-sorted.
+    * Deterministic in the input order.
+    */
   def fromEdges(edges: Seq[TemporalEdge]): LocalGraph = {
     val upperIds = mutable.LinkedHashMap.empty[Long, Int]
     val lowerIds = mutable.LinkedHashMap.empty[Long, Int]
@@ -53,8 +61,13 @@ object LocalGraph {
 
     val adjN = Array.tabulate(n)(i => new Array[Int](deg(i)))
     val adjT = Array.tabulate(n)(i => new Array[Long](deg(i)))
+    // filling in time order (stably) leaves every adjacency time-sorted
+    val es = edges.toIndexedSeq
+    val times = es.iterator.map(_.t).toArray
+    val byTime = ArgSort(es.length)((i, j) => times(i) < times(j))
     val fill = new Array[Int](n)
-    edges.foreach { e =>
+    byTime.foreach { k =>
+      val e = es(k)
       val a = upperIds(e.u); val b = nU + lowerIds(e.v)
       adjN(a)(fill(a)) = b; adjT(a)(fill(a)) = e.t; fill(a) += 1
       adjN(b)(fill(b)) = a; adjT(b)(fill(b)) = e.t; fill(b) += 1

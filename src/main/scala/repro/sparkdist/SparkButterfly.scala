@@ -5,7 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{Instance, LocalCombine, SetCross, Variant}
+import repro.core.{Delta, Instance, LocalCombine, SetCross, Variant}
 import repro.graph.TemporalEdge
 
 /** Distributed temporal butterfly counting/enumeration on Spark DataFrames.
@@ -94,8 +94,12 @@ object SparkButterfly {
       }
   }
 
-  /** Exact per-type counts, one slot per butterfly type. */
+  /** Exact per-type counts, one slot per butterfly type.
+    *
+    * @throws IllegalArgumentException if `delta < 0`
+    */
   def count(edges: DataFrame, delta: Long, variant: Variant = Variant.PlusPlus): Array[Long] = {
+    Delta.check(delta)
     val spark = edges.sparkSession
     import spark.implicits._
     val perType = perGroup(edges, delta, variant) { (a, _, buf) =>
@@ -119,9 +123,13 @@ object SparkButterfly {
     c.zipWithIndex.map { case (n, i) => (i, n) }.toSeq.toDF("btype", "cnt")
   }
 
-  /** Distributed enumeration (TBE+ inside each group). */
+  /** Distributed enumeration (TBE+ inside each group).
+    *
+    * @throws IllegalArgumentException if `delta < 0`
+    */
   def enumerate(edges: DataFrame, delta: Long,
                 variant: Variant = Variant.Plus): Dataset[Instance] = {
+    Delta.check(delta)
     val spark = edges.sparkSession
     import spark.implicits._
     perGroup(edges, delta, variant) { (a, w, buf) =>

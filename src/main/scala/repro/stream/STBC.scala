@@ -2,7 +2,7 @@ package repro.stream
 
 import scala.collection.mutable
 
-import repro.core.{SetCross, SideBuilder, TreeIndex}
+import repro.core.{Delta, RankIndex, SetCross, SideBuilder}
 import repro.graph.TemporalEdge
 
 /** STBC (Algorithm 7): exact incremental counting of the temporal
@@ -34,20 +34,22 @@ object STBC {
     val su = g.endpointSlot(g.upperKey(e.u), e)
     val sv = g.endpointSlot(g.lowerKey(e.v), e)
     val t = e.t
+    val lo = Delta.minus(t, delta)
+    val hi = Delta.plus(t, delta)
 
     // end-vertex slot -> (wedges through v with first leg e, wedges through x != v);
     // both sets may span several middle-vertices, which is safe here: the
     // two sides crossed always have disjoint middles
     val byEnd = mutable.HashMap.empty[Int, (SideBuilder, SideBuilder)]
-    g.foreachSlotInRange(sv, t - delta, loStrict = false, t + delta, hiStrict = false) { (w, t2) =>
+    g.foreachSlotInRange(sv, lo, loStrict = false, hi, hiStrict = false) { (w, t2) =>
       if (w != su && t2 != t)
         byEnd.getOrElseUpdate(w, (new SideBuilder, new SideBuilder))._1.add(t, t2, delta)
     }
-    g.foreachSlotInRange(su, t - delta, loStrict = false, t + delta, hiStrict = false) { (x, t1) =>
+    g.foreachSlotInRange(su, lo, loStrict = false, hi, hiStrict = false) { (x, t1) =>
       if (x != sv && t1 != t) {
-        val lo = math.max(t, t1) - delta
-        val hi = math.min(t, t1) + delta
-        g.foreachSlotInRange(x, lo, loStrict = false, hi, hiStrict = false) { (w, t2) =>
+        val lo2 = Delta.minus(math.max(t, t1), delta)
+        val hi2 = Delta.plus(math.min(t, t1), delta)
+        g.foreachSlotInRange(x, lo2, loStrict = false, hi2, hiStrict = false) { (w, t2) =>
           // u itself never has an entry
           if (t2 != t && t2 != t1) byEnd.get(w).foreach(_._2.add(t1, t2, delta))
         }
@@ -58,7 +60,7 @@ object STBC {
       if (viaV.nonEmpty && viaOther.nonEmpty)
         // start-vertex is the upper endpoint, so layer = 0
         SetCross.cross(viaV.result(0L), viaOther.result(0L), layer = 0, delta, counts,
-          () => new TreeIndex, sink = null)
+          new RankIndex(_), sink = null)
     }
     counts
   }

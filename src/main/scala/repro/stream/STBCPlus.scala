@@ -5,6 +5,7 @@ import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Exec
 import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
 
+import repro.core.Delta
 import repro.graph.TemporalEdge
 
 /** STBC+ (Algorithm 8): batch stream updates with multi-core parallelism.
@@ -107,8 +108,8 @@ object STBCPlus {
     // Under time reversal every collected timestamp is negated; `sgn`
     // folds that into the collection step.
     val sgn = if (asMin) 1L else -1L
-    val lo = if (asMin) t else t - delta
-    val hi = if (asMin) t + delta else t
+    val lo = if (asMin) t else Delta.minus(t, delta)
+    val hi = if (asMin) Delta.plus(t, delta) else t
     val loStrict = asMin
     val hiStrict = !asMin
 

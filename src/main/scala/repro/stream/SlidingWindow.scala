@@ -2,6 +2,7 @@ package repro.stream
 
 import java.util.concurrent.ExecutorService
 
+import repro.core.Delta
 import repro.graph.TemporalEdge
 
 /** Sliding-window streaming temporal butterfly counting (§ 6.2).
@@ -28,6 +29,7 @@ object SlidingWindow {
       onStep: Step => Unit = _ => ()): Array[Long] = {
     require(window > 0 && stride > 0 && stride <= window, "need 0 < stride <= window")
     require(threads >= 0, s"threads must be >= 0 (0 selects STBC), got $threads")
+    Delta.check(delta)
     var i = 1
     while (i < edges.length) {
       if (edges(i).t < edges(i - 1).t)

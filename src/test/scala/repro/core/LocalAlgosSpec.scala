@@ -2,8 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.TestUtil
+import repro.{SparkSpec, TestUtil}
 import repro.graph.{Datasets, LocalGraph, SynthBipartite, TemporalEdge}
+import repro.sparkdist.SparkButterfly
 
 /** Cross-validates the three counting algorithms against the brute-force
   * reference and against each other over a spread of graph shapes.
@@ -152,4 +153,75 @@ class LocalAlgosSpec extends AnyFunSuite {
     assert(e.getMessage.contains("plsu"))
     Variant.all.foreach(v => assert(e.getMessage.contains(v.name)))
   }
+
+  // Butterfly (0,0,T+1), (1,0,T+2), (0,1,T+3), (1,1,T+4) of type T0; the
+  // fifth edge adds no butterfly. Far-from-zero timestamps make t + delta
+  // overflow at delta = Long.MaxValue unless the bounds saturate.
+  private val T = 1000000L
+  private val maxDeltaGraphs = Seq(
+    "one butterfly" -> TestUtil.singleButterfly(T + 1, T + 2, T + 3, T + 4),
+    "one butterfly and a pendant edge" -> (TestUtil.singleButterfly(T + 1, T + 2, T + 3, T + 4) :+
+      TemporalEdge(2, 2, T + 5)))
+
+  for ((name, edges) <- maxDeltaGraphs)
+    test(s"delta = Long.MaxValue counts like brute force: $name") {
+      val delta = Long.MaxValue
+      val want = BruteForce.countByType(edges, delta)
+      assert(want.toSeq == Seq(1L, 0L, 0L, 0L, 0L, 0L))
+      checkAll(edges, delta, name)
+      val (total, instances) = LocalAlgos.tbePlus(LocalGraph.fromEdges(edges), delta)
+      assert(total == 1L)
+      TestUtil.assertCountsEqual(want, Array.tabulate(6)(i => instances.count(_.btype == i).toLong), s"$name TBE+")
+    }
+
+  test("a negative delta is rejected by every counting and enumerating entry point") {
+    val edges = TestUtil.singleButterfly(1, 2, 3, 4)
+    val g = LocalGraph.fromEdges(edges)
+    def rejects(what: String)(run: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](run)
+      assert(e.getMessage.contains("-1"), s"$what: ${e.getMessage}")
+    }
+    for (v <- Variant.all) {
+      rejects(s"count ${v.name}")(LocalAlgos.count(g, -1, v))
+      rejects(s"enumerate ${v.name}")(LocalAlgos.enumerate(g, -1, v, collect = true))
+    }
+    val df = SparkButterfly.edgesToDF(SparkSpec.shared, edges)
+    rejects("SparkButterfly.count")(SparkButterfly.count(df, -1))
+    rejects("SparkButterfly.enumerate")(SparkButterfly.enumerate(df, -1))
+  }
+
+  test("fromEdges sorts each adjacency by time, multi-edges and equal timestamps included") {
+    val rnd = new scala.util.Random(5)
+    // 3 x 3 vertices, 120 edges, 10 timestamps: every pair repeats, at equal
+    // and at different times
+    val edges = IndexedSeq.fill(120)(
+      TemporalEdge(rnd.nextInt(3).toLong, rnd.nextInt(3).toLong, rnd.nextInt(10).toLong))
+    val g = LocalGraph.fromEdges(edges)
+    for (v <- 0 until g.n) {
+      val ts = g.adjT(v)
+      assert(ts.toSeq == ts.sorted.toSeq, s"vertex $v: ${ts.mkString(",")}")
+    }
+    // the adjacency still holds exactly the edge list's (neighbour, time) pairs
+    val fromAdj = for (a <- 0 until g.nUpper; k <- g.adjN(a).indices)
+      yield TemporalEdge(g.origId(a), g.origId(g.adjN(a)(k)), g.adjT(a)(k))
+    assert(fromAdj.sortBy(e => (e.u, e.v, e.t)) == edges.sortBy(e => (e.u, e.v, e.t)))
+  }
+
+  for (seed <- 31 to 34)
+    test(s"TBC++ matches brute force with wedges exactly delta apart (seed $seed)") {
+      // with delta = 10, the times 0/10, 1/11 and 10/20 pair up at exactly
+      // delta, so second hops end on both inclusive bounds t1 - delta, t1 + delta
+      val delta = 10L
+      val times = Array(0L, 1L, 5L, 9L, 10L, 11L, 20L)
+      val rnd = new scala.util.Random(seed)
+      val edges = IndexedSeq.fill(90)(
+        TemporalEdge(rnd.nextInt(4).toLong, rnd.nextInt(4).toLong, times(rnd.nextInt(times.length))))
+      val want = BruteForce.countByType(edges, delta)
+      assert(want.sum > 0)
+      TestUtil.assertCountsEqual(want, LocalAlgos.tbcPlusPlus(LocalGraph.fromEdges(edges), delta), s"seed $seed")
+      checkAll(edges, delta, s"exact-delta-$seed")
+      // the same graph one tick tighter loses the butterflies that need the bound
+      val tighter = BruteForce.countByType(edges, delta - 1)
+      TestUtil.assertCountsEqual(tighter, LocalAlgos.tbcPlusPlus(LocalGraph.fromEdges(edges), delta - 1), s"seed $seed tighter")
+    }
 }

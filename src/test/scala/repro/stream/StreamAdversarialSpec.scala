@@ -126,4 +126,30 @@ class StreamAdversarialSpec extends AnyFunSuite {
       assert(hubCapacity < maxCapacity, s"$tag: hub queue did not shrink")
     }
   }
+
+  test("delta = Long.MaxValue: STBC, STBC+-1 and STBC+-3 match BruteForce in every window") {
+    // one T0 butterfly at T+1..T+4, then an edge that forms none; with
+    // window 4 and stride 1 the second window has no butterfly. Timestamps
+    // far from zero make t + delta overflow unless the bounds saturate.
+    val T = 1000000L
+    val delta = Long.MaxValue
+    val butterfly = TestUtil.singleButterfly(T + 1, T + 2, T + 3, T + 4)
+    for (edges <- Seq(butterfly, butterfly :+ TemporalEdge(2, 2, T + 5)); threads <- Seq(0, 1, 3)) {
+      val steps = ArrayBuffer.empty[Array[Long]]
+      SlidingWindow.run(edges, window = 4, stride = 1, delta, threads, onStep = { step =>
+        TestUtil.assertCountsEqual(BruteForce.countByType(edges.slice(step.windowStart, step.windowEnd), delta),
+          step.counts, s"${edges.length} edges, threads $threads, step ${step.index}")
+        steps += step.counts
+      })
+      assert(steps.map(_.sum).toSeq == Seq(1L, 0L).take(edges.length - 3))
+    }
+  }
+
+  test("a negative delta is rejected") {
+    val edges = TestUtil.singleButterfly(1, 2, 3, 4)
+    for (threads <- Seq(0, 1, 3)) {
+      val e = intercept[IllegalArgumentException](SlidingWindow.run(edges, 4, 1, -1L, threads))
+      assert(e.getMessage.contains("-1"), e.getMessage)
+    }
+  }
 }
